@@ -117,6 +117,51 @@ def _http_head(status: str, content_type: str,
     return ("\r\n".join(head) + "\r\n\r\n").encode()
 
 
+async def stream_events(writer: asyncio.StreamWriter, view: StudyView,
+                        query: dict, finished,
+                        keepalive_s: float = KEEPALIVE_S) -> None:
+    """Serve ``/events``: *view*'s unit transitions as NDJSON.
+
+    Replays from ``?since=SEQ`` (default 0), then follows the study,
+    writing a ``{"keepalive": true}`` line after *keepalive_s* without
+    one.  *finished()* decides when the stream ends: None while the
+    study runs, else a dict of extra fields for the closing
+    ``study_complete`` line.
+    """
+    try:
+        seq = int(query.get("since", ["0"])[0])
+    except ValueError:
+        seq = 0
+    writer.write(_http_head("200 OK", "application/x-ndjson"))
+    clock = asyncio.get_event_loop().time
+    last_line = clock()
+    while True:
+        view.refresh()
+        while seq < len(view.transitions):
+            writer.write((json.dumps(view.transitions[seq]) + "\n").encode())
+            seq += 1
+            last_line = clock()
+        if clock() - last_line >= keepalive_s:
+            writer.write(b'{"keepalive": true}\n')
+            last_line = clock()
+        await writer.drain()
+        extra = finished()
+        if extra is not None:
+            final = {
+                "name": "study_complete",
+                "complete": view.complete(),
+                **extra,
+                "tally": view.tally(),
+                "injections_done": view.injections_done(),
+                "units": {uid: dict(view.units[uid].best_counts())
+                          for uid in view.unit_ids},
+            }
+            writer.write((json.dumps(final) + "\n").encode())
+            await writer.drain()
+            return
+        await asyncio.sleep(EVENTS_POLL_S)
+
+
 class StatusServer:
     """Serves one study directory's live view over HTTP."""
 
@@ -154,7 +199,8 @@ class StatusServer:
             if url.path == "/status":
                 await self._serve_status(writer)
             elif url.path == "/events":
-                await self._serve_events(writer, query)
+                await stream_events(writer, self.view, query,
+                                    self._events_finished)
             elif url.path in ("/", "/index.html"):
                 body = _DASHBOARD.encode()
                 writer.write(_http_head("200 OK",
@@ -182,39 +228,10 @@ class StatusServer:
         writer.write(_http_head("200 OK", "application/json", len(body)))
         writer.write(body)
 
-    async def _serve_events(self, writer: asyncio.StreamWriter,
-                            query: dict) -> None:
-        try:
-            seq = int(query.get("since", ["0"])[0])
-        except ValueError:
-            seq = 0
-        writer.write(_http_head("200 OK", "application/x-ndjson"))
-        last_line = asyncio.get_event_loop().time()
-        while True:
-            self.view.refresh()
-            while seq < len(self.view.transitions):
-                row = self.view.transitions[seq]
-                writer.write((json.dumps(row) + "\n").encode())
-                seq += 1
-                last_line = asyncio.get_event_loop().time()
-            if (asyncio.get_event_loop().time() - last_line
-                    >= KEEPALIVE_S):
-                writer.write(b'{"keepalive": true}\n')
-                last_line = asyncio.get_event_loop().time()
-            await writer.drain()
-            if self.view.complete() or not self.follow:
-                final = {
-                    "name": "study_complete",
-                    "complete": self.view.complete(),
-                    "tally": self.view.tally(),
-                    "injections_done": self.view.injections_done(),
-                    "units": {uid: dict(self.view.units[uid].best_counts())
-                              for uid in self.view.unit_ids},
-                }
-                writer.write((json.dumps(final) + "\n").encode())
-                await writer.drain()
-                return
-            await asyncio.sleep(EVENTS_POLL_S)
+    def _events_finished(self) -> dict | None:
+        """``/events`` closes once every unit is terminal, or after the
+        replay when not following."""
+        return {} if self.view.complete() or not self.follow else None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -263,4 +280,5 @@ def serve_study(study_dir, host: str = "127.0.0.1", port: int = 8436,
                  **kwargs).serve_forever(on_ready)
 
 
-__all__ = ["StatusServer", "serve_study", "EVENTS_POLL_S", "KEEPALIVE_S"]
+__all__ = ["StatusServer", "serve_study", "stream_events", "EVENTS_POLL_S",
+           "KEEPALIVE_S"]

@@ -1,8 +1,8 @@
-"""Mask pre-classification and fault-equivalence collapsing.
+"""Mask pre-classification against the golden access trace.
 
 Given the planned mask set of a campaign and the golden run's
 :class:`~repro.prune.trace.AccessTrace`, :func:`build_prune_plan`
-decides, per fault set, one of three fates *before any simulation*:
+decides, per fault set, one of two fates *before any simulation*:
 
 **Masked by analysis** — the flip provably cannot change the run:
 
@@ -23,23 +23,15 @@ These are the static counterparts of the paper's §III.B *runtime*
 early-stop rules: what the watch machinery discovers by simulating up
 to the first access, the golden trace already knows.
 
-**Collapsed** — two surviving masks hitting the same (entry, bit) with
-no intervening access event between their injection cycles produce
-bit-identical machine states at the first subsequent access (execution
-is golden-identical until then, and an XOR flip commutes with nothing
-happening).  Such masks form an equivalence class; one representative
-is simulated and its observables fanned out to the rest.
-
 **Simulated** — everything else, plus every multi-mask, intermittent or
 permanent fault set (stuck-at faults interact with every access in
 their window; only single transient flips are analyzable this way).
 
-Pruned and collapsed masks still yield full :class:`InjectionRecord`\\ s
-— carrying the golden (or representative) observables so the Parser
-classifies them through the normal path — marked with the new
-``pruned`` provenance field.  :func:`audit_plan` is the empirical gate:
-it really simulates a seeded sample of pruned masks, compares the
-Parser's verdicts, and cross-checks the dispatcher's pristine state
+Pruned masks still yield full :class:`InjectionRecord`\\ s — carrying
+the golden observables so the Parser classifies them through the
+normal path — marked with the ``pruned`` provenance field.
+:func:`audit_plan` is the empirical gate: it really simulates a seeded
+sample of pruned masks, compares the Parser's verdicts, and cross-checks the dispatcher's pristine state
 digest (the guard integrity machinery) before and after, so a pruning
 bug or a contaminated machine shows up as a divergence count, not a
 silently wrong study.
@@ -57,14 +49,12 @@ from repro.prune.trace import AccessTrace
 
 # Prune policies (StudySpec.prune / campaign --prune).
 PRUNE_OFF = "off"
-PRUNE_ANALYZE = "analyze"        # masked-by-analysis rules only
-PRUNE_COLLAPSE = "collapse"      # rules + equivalence-class collapsing
-PRUNE_POLICIES = (PRUNE_OFF, PRUNE_ANALYZE, PRUNE_COLLAPSE)
+PRUNE_ANALYZE = "analyze"        # masked-by-analysis rules
+PRUNE_POLICIES = (PRUNE_OFF, PRUNE_ANALYZE)
 
 RULE_DEAD = "dead-entry"
 RULE_OVERWRITTEN = "write-before-read"
 RULE_NEVER_READ = "never-read"
-RULE_EQUIVALENT = "equivalent"
 PRUNE_RULES = (RULE_DEAD, RULE_OVERWRITTEN, RULE_NEVER_READ)
 
 
@@ -74,8 +64,7 @@ def classify_mask(struct_trace, entry: int, bit: int,
 
     Returns ``(rule, window)``: *rule* is a :data:`PRUNE_RULES` name
     when the mask is provably Masked, else None; *window* is the index
-    of the first event the flip could influence (the equivalence-class
-    key component).  The flip at cycle *c* lands after every event
+    of the first event the flip could influence.  The flip at cycle *c* lands after every event
     stamped ``<= c`` — the dispatcher applies masks on cycle edges.
     """
     if not struct_trace.filled_at(entry, cycle):
@@ -107,36 +96,21 @@ class PrunePlan:
         self.policy = policy
         self.trace = trace
         self.masked: dict[int, str] = {}        # set_id -> rule
-        self.clones: dict[int, int] = {}        # set_id -> representative
-        self.classes: dict[int, list[int]] = {}  # rep -> member set_ids
         self.rules: dict[str, int] = {}
         self.by_structure: dict[str, dict] = {}
         self.masks_total = 0
 
     @property
     def pruned_ids(self) -> list[int]:
-        return sorted([*self.masked, *self.clones])
-
-    def decision(self, set_id: int):
-        """``("masked", rule)`` | ``("clone", rep_id)`` | ``None``."""
-        rule = self.masked.get(set_id)
-        if rule is not None:
-            return ("masked", rule)
-        rep = self.clones.get(set_id)
-        if rep is not None:
-            return ("clone", rep)
-        return None
+        return sorted(self.masked)
 
     def stats(self) -> dict:
         masked = len(self.masked)
-        collapsed = len(self.clones)
         return {
             "policy": self.policy,
             "masks": self.masks_total,
             "masked": masked,
-            "collapsed": collapsed,
-            "classes": len(self.classes),
-            "simulated": self.masks_total - masked - collapsed,
+            "simulated": self.masks_total - masked,
             "rules": dict(sorted(self.rules.items())),
             "by_structure": {
                 name: dict(d) for name, d
@@ -156,7 +130,6 @@ def build_prune_plan(sets, trace: AccessTrace,
     plan.masks_total = len(sets)
     if policy == PRUNE_OFF:
         return plan
-    reps: dict[tuple, int] = {}      # (structure, entry, bit, window) -> rep
     for fs in sets:
         if not fs.single:
             continue
@@ -167,23 +140,10 @@ def build_prune_plan(sets, trace: AccessTrace,
         per = plan.by_structure.setdefault(
             mask.structure, {"masks": 0, "pruned": 0})
         per["masks"] += 1
-        rule, window = classify_mask(st, mask.entry, mask.bit, mask.cycle)
+        rule, _ = classify_mask(st, mask.entry, mask.bit, mask.cycle)
         if rule is not None:
             plan.masked[fs.set_id] = rule
             plan.rules[rule] = plan.rules.get(rule, 0) + 1
-            per["pruned"] += 1
-            continue
-        if policy != PRUNE_COLLAPSE:
-            continue
-        key = (mask.structure, mask.entry, mask.bit, window)
-        rep = reps.get(key)
-        if rep is None:
-            reps[key] = fs.set_id
-        else:
-            plan.clones[fs.set_id] = rep
-            plan.classes.setdefault(rep, []).append(fs.set_id)
-            plan.rules[RULE_EQUIVALENT] = \
-                plan.rules.get(RULE_EQUIVALENT, 0) + 1
             per["pruned"] += 1
     return plan
 
@@ -203,25 +163,6 @@ def synthetic_masked_record(fault_set: FaultSet, golden: GoldenReference,
         cycles=golden.cycles,
         injected=False,
         pruned=rule)
-
-
-def clone_record(rep: InjectionRecord,
-                 fault_set: FaultSet) -> InjectionRecord:
-    """The representative's observables under a class member's identity."""
-    return InjectionRecord(
-        set_id=fault_set.set_id,
-        masks=[m.to_dict() for m in fault_set.masks],
-        reason=rep.reason,
-        exit_code=rep.exit_code,
-        output_hex=rep.output_hex,
-        events=list(rep.events),
-        signal=rep.signal,
-        detail=rep.detail,
-        cycles=rep.cycles,
-        early_stop=rep.early_stop,
-        injected=rep.injected,
-        invariant=rep.invariant,
-        pruned=RULE_EQUIVALENT)
 
 
 # -- the empirical gate ----------------------------------------------------
@@ -254,7 +195,7 @@ def audit_plan(dispatcher, sets_by_id: dict, records_by_id: dict,
         if actual_cls != expected_cls:
             divergences.append({
                 "set_id": set_id,
-                "rule": plan.masked.get(set_id, RULE_EQUIVALENT),
+                "rule": plan.masked[set_id],
                 "expected": expected_cls,
                 "actual": actual_cls,
                 "reason": actual.reason,

@@ -66,7 +66,7 @@ import json
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.live import StudyView
-from repro.obs.server import EVENTS_POLL_S, KEEPALIVE_S, _http_head
+from repro.obs.server import KEEPALIVE_S, _http_head, stream_events
 from repro.svc.attest import (ChallengePending, RejectedComplete,
                               WorkerDistrusted)
 from repro.svc.chaos import TransportChaos
@@ -426,50 +426,19 @@ class ServiceServer:
 
     async def _serve_events(self, writer, study_id: str,
                             query: dict) -> None:
-        """NDJSON unit-transition stream, obs-serve protocol.
-
-        Quiet stretches carry ``{"keepalive": true}`` lines so clients
-        can distinguish an idle study from a dead connection.
-        """
-        try:
-            seq = int(query.get("since", ["0"])[0])
-        except ValueError:
-            seq = 0
-        view = StudyView(self.service.study_dir(study_id))
-        writer.write(_http_head("200 OK", "application/x-ndjson"))
-        last_line = asyncio.get_event_loop().time()
-        while True:
-            view.refresh()
-            while seq < len(view.transitions):
-                row = view.transitions[seq]
-                writer.write((json.dumps(row) + "\n").encode())
-                seq += 1
-                last_line = asyncio.get_event_loop().time()
-            if (asyncio.get_event_loop().time() - last_line
-                    >= self.keepalive_s):
-                writer.write(b'{"keepalive": true}\n')
-                last_line = asyncio.get_event_loop().time()
-            await writer.drain()
-            rec = self.service.state.studies[study_id]
+        """NDJSON unit-transition stream, obs-serve protocol."""
+        def finished():
             # Terminality is the *service's* call, not the journal's: a
             # fully-done tally can still be reopened (an audit voiding a
             # distrusted worker's unit), and a finish is deferred while
             # audits are pending — so only the lifecycle row closes the
             # stream.
-            if rec.terminal:
-                final = {
-                    "name": "study_complete",
-                    "complete": view.complete(),
-                    "state": rec.state,
-                    "tally": view.tally(),
-                    "injections_done": view.injections_done(),
-                    "units": {uid: dict(view.units[uid].best_counts())
-                              for uid in view.unit_ids},
-                }
-                writer.write((json.dumps(final) + "\n").encode())
-                await writer.drain()
-                return
-            await asyncio.sleep(EVENTS_POLL_S)
+            rec = self.service.state.studies[study_id]
+            return {"state": rec.state} if rec.terminal else None
+
+        await stream_events(writer,
+                            StudyView(self.service.study_dir(study_id)),
+                            query, finished, keepalive_s=self.keepalive_s)
 
     # -- lifecycle ---------------------------------------------------------
 

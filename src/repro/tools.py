@@ -142,8 +142,7 @@ def _cmd_campaign(args) -> int:
         if result.prune is not None:
             p = result.prune
             print(f"  prune [{p['policy']}]: {p['masked']} masked by "
-                  f"analysis + {p['collapsed']} collapsed "
-                  f"({p['classes']} classes) -> {p['simulated']} of "
+                  f"analysis -> {p['simulated']} of "
                   f"{p['masks']} simulated  "
                   f"(trace: {p.get('trace_source')})")
             audit = p.get("audit")
@@ -895,13 +894,11 @@ def main(argv=None) -> int:
                              "containment, restore integrity "
                              "(docs/robustness.md)")
     p_camp.add_argument("--no-early-stop", action="store_true")
-    p_camp.add_argument("--prune", choices=["off", "analyze", "collapse"],
+    p_camp.add_argument("--prune", choices=["off", "analyze"],
                         default="off",
                         help="golden-trace pre-classification: 'analyze' "
                              "marks provably-Masked masks without "
-                             "simulation; 'collapse' also simulates one "
-                             "representative per fault-equivalence class "
-                             "(docs/performance.md)")
+                             "simulation (docs/performance.md)")
     p_camp.add_argument("--trace-cache", default=None, metavar="DIR",
                         help="directory caching the golden access trace "
                              "per (setup, benchmark)")
@@ -1007,7 +1004,7 @@ def main(argv=None) -> int:
                        help="hardening policy applied in every unit "
                             "worker (docs/robustness.md)")
     p_run.add_argument("--no-early-stop", action="store_true")
-    p_run.add_argument("--prune", choices=["off", "analyze", "collapse"],
+    p_run.add_argument("--prune", choices=["off", "analyze"],
                        default="off",
                        help="golden-trace pre-classification in every "
                             "unit worker (see campaign --prune)")

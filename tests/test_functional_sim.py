@@ -16,7 +16,6 @@ class TestBasicExecution:
 
     def test_instruction_limit(self):
         prog = assemble_x86("spin: jmp spin\n")
-        res = run_program(prog, )
         # run with a small limit
         sim = FunctionalSim(prog)
         out = sim.run(max_instrs=100)

@@ -1,4 +1,4 @@
-"""repro.prune: golden-trace pre-classification and equivalence pruning.
+"""repro.prune: golden-trace pre-classification.
 
 The contract under test is soundness: a pruned campaign must classify
 *identically* to an unpruned one — the analyzer only skips simulations
@@ -15,8 +15,7 @@ from repro.core.campaign import InjectionCampaign, run_campaign
 from repro.core.fault import INTERMITTENT, TRANSIENT, FaultMask, FaultSet
 from repro.core.maskgen import FaultMaskGenerator, StructureInfo
 from repro.core.parallel import run_campaign_parallel
-from repro.prune import (PRUNE_ANALYZE, PRUNE_COLLAPSE, PRUNE_OFF,
-                         RULE_DEAD, RULE_NEVER_READ, RULE_OVERWRITTEN,
+from repro.prune import (PRUNE_ANALYZE, PRUNE_OFF, RULE_DEAD, RULE_NEVER_READ, RULE_OVERWRITTEN,
                          AccessTrace, StructureTrace, TraceCache,
                          build_prune_plan, classify_mask)
 from repro.sched.plan import StudySpec, WorkUnit
@@ -83,7 +82,7 @@ class TestClassifyMask:
         assert classify_mask(st, 1, 0, cycle=7)[0] == RULE_NEVER_READ
 
 
-# -- plan construction and equivalence classes -----------------------------
+# -- plan construction ----------------------------------------------------
 
 def _single(set_id, cycle, bit=1, entry=0, structure="int_rf",
             fault_type=TRANSIENT, duration=0):
@@ -100,38 +99,18 @@ def _trace_for(st):
 
 
 class TestBuildPrunePlan:
-    def test_same_window_masks_collapse_to_one_representative(self):
-        trace = _trace_for(word_trace({0: [[10, "r"], [20, "r"]]}))
-        sets = [_single(0, 2), _single(1, 5), _single(2, 15),
-                _single(3, 25)]
-        plan = build_prune_plan(sets, trace, PRUNE_COLLAPSE)
-        # Cycles 2 and 5 share the pre-first-read window: one clone.
-        assert plan.clones == {1: 0}
-        assert plan.classes == {0: [1]}
-        # Cycle 15 is a different window — its own representative.
-        assert plan.decision(2) is None
-        # Cycle 25: nothing ever reads the entry again.
-        assert plan.masked == {3: RULE_NEVER_READ}
-        assert plan.stats()["simulated"] == 2
-
-    def test_analyze_policy_never_collapses(self):
-        trace = _trace_for(word_trace({0: [[10, "r"]]}))
-        sets = [_single(0, 2), _single(1, 5)]
-        plan = build_prune_plan(sets, trace, PRUNE_ANALYZE)
-        assert plan.clones == {} and plan.masked == {}
-
     def test_multi_mask_and_non_transient_sets_are_simulated(self):
         trace = _trace_for(word_trace({}))
         multi = FaultSet(masks=(_single(0, 2).masks[0],
                                 _single(0, 3, bit=2).masks[0]), set_id=0)
         interm = _single(1, 2, fault_type=INTERMITTENT)
-        plan = build_prune_plan([multi, interm], trace, PRUNE_COLLAPSE)
-        assert plan.decision(0) is None and plan.decision(1) is None
+        plan = build_prune_plan([multi, interm], trace, PRUNE_ANALYZE)
+        assert plan.masked == {}
 
     def test_off_policy_prunes_nothing(self):
         trace = _trace_for(word_trace({}))
         plan = build_prune_plan([_single(0, 2)], trace, PRUNE_OFF)
-        assert plan.decision(0) is None and plan.stats()["masked"] == 0
+        assert plan.masked == {} and plan.stats()["masked"] == 0
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="prune policy"):
@@ -153,7 +132,7 @@ def _campaign(setup, prune, audit=0, structure="l1d", trace_cache=None):
 def pruned_pair(request):
     setup = request.param
     return (setup, _campaign(setup, PRUNE_OFF),
-            _campaign(setup, PRUNE_COLLAPSE, audit=8))
+            _campaign(setup, PRUNE_ANALYZE, audit=8))
 
 
 class TestCampaignSoundness:
@@ -172,11 +151,10 @@ class TestCampaignSoundness:
     def test_prune_accounting_is_closed(self, pruned_pair):
         _, _, pruned = pruned_pair
         stats = pruned.prune
-        assert stats["masked"] + stats["collapsed"] > 0
-        assert (stats["masked"] + stats["collapsed"]
-                + stats["simulated"]) == stats["masks"] == 30
+        assert stats["masked"] > 0
+        assert stats["masked"] + stats["simulated"] == stats["masks"] == 30
         marked = [r for r in pruned.records if r.pruned is not None]
-        assert len(marked) == stats["masked"] + stats["collapsed"]
+        assert len(marked) == stats["masked"]
 
     def test_early_stops_count_only_simulated_runs(self, pruned_pair):
         _, _, pruned = pruned_pair
@@ -224,7 +202,7 @@ class TestTraceDeterminismAndCache:
 
 class TestParallelParity:
     def test_parallel_equals_serial_under_pruning(self):
-        kw = dict(injections=12, seed=21, prune=PRUNE_COLLAPSE)
+        kw = dict(injections=12, seed=21, prune=PRUNE_ANALYZE)
         serial = run_campaign("GeFIN-x86", "sha", "l1d", **kw)
         parallel = run_campaign_parallel("GeFIN-x86", "sha", "l1d",
                                          workers=2, **kw)
@@ -250,7 +228,7 @@ class TestSchedPrune:
         base = dict(setups=("MaFIN-x86",), benchmarks=("sha",),
                     structures=("l1d",), injections=10, seed=5)
         off = run_unit(unit, StudySpec(**base), tmp_path / "off.jsonl")
-        pruned = run_unit(unit, StudySpec(prune="collapse", **base),
+        pruned = run_unit(unit, StudySpec(prune="analyze", **base),
                           tmp_path / "pruned.jsonl")
         assert pruned["counts"] == off["counts"]
         assert pruned["pruned"] > 0
@@ -260,7 +238,7 @@ class TestSchedPrune:
         unit = WorkUnit("MaFIN-x86", "sha", "l1d")
         spec = StudySpec(setups=("MaFIN-x86",), benchmarks=("sha",),
                          structures=("l1d",), injections=10, seed=5,
-                         prune="collapse")
+                         prune="analyze")
         logs = tmp_path / "unit.jsonl"
         first = run_unit(unit, spec, logs)
         again = run_unit(unit, spec, logs)
