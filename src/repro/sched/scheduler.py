@@ -349,6 +349,12 @@ class Scheduler:
 
             # Results first, then deaths, then timeouts (pool order).
             for lease, kind, payload in pool.poll():
+                if self._cancelled:
+                    # Cancelled by an earlier result of this batch: the
+                    # rest count as terminated leases, unjournaled, and
+                    # a resume re-leases them.
+                    result.interrupted = True
+                    continue
                 if kind == RESULT:
                     if payload.get("ok"):
                         finish_success(lease, payload)

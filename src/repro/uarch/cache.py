@@ -40,6 +40,8 @@ class Cache:
         # causes false misses/hits, flipping valid drops a line.
         self.tag_bits = 32 - self.tag_shift
         self.tags = WordArray(name + "_tag", nlines, self.tag_bits + 2)
+        self._set_mask = self.sets - 1
+        self._tag_mask = (1 << self.tag_bits) - 1
         self._valid_bit = 1 << self.tag_bits
         self._dirty_bit = 1 << (self.tag_bits + 1)
         # MRU-first replacement order per set.
@@ -48,10 +50,10 @@ class Cache:
     # -- address helpers ---------------------------------------------------
 
     def set_of(self, addr: int) -> int:
-        return (addr >> self.off_bits) & (self.sets - 1)
+        return (addr >> self.off_bits) & self._set_mask
 
     def tag_of(self, addr: int) -> int:
-        return (addr >> self.tag_shift) & ((1 << self.tag_bits) - 1)
+        return (addr >> self.tag_shift) & self._tag_mask
 
     def line_base(self, addr: int) -> int:
         return addr & ~(self.line_size - 1)
@@ -63,23 +65,25 @@ class Cache:
         """Reconstruct the base address stored in a line's tag."""
         set_idx, way = divmod(line, self.assoc)
         packed = self.tags.peek(line)
-        tag = packed & ((1 << self.tag_bits) - 1)
+        tag = packed & self._tag_mask
         return (tag << self.tag_shift) | (set_idx << self.off_bits)
 
     # -- lookup / access ------------------------------------------------------
 
     def lookup(self, addr: int, cycle: int = 0) -> int | None:
         """Return the hitting way, or None.  Reads the tag array."""
-        set_idx = self.set_of(addr)
-        want = self.tag_of(addr)
+        # set_of/tag_of inlined: this runs on every cache access.
+        assoc = self.assoc
+        base = ((addr >> self.off_bits) & self._set_mask) * assoc
+        want = (addr >> self.tag_shift) & self._tag_mask
         tags = self.tags
-        base = set_idx * self.assoc
-        fast = not tags.stuck and tags.watch is None
-        for way in range(self.assoc):
-            packed = tags.data[base + way] if fast else \
+        fast = tags.clean
+        data = tags.data
+        valid, tag_mask = self._valid_bit, self._tag_mask
+        for way in range(assoc):
+            packed = data[base + way] if fast else \
                 tags.read(base + way, cycle)
-            if packed & self._valid_bit and \
-                    (packed & ((1 << self.tag_bits) - 1)) == want:
+            if packed & valid and (packed & tag_mask) == want:
                 return way
         return None
 
@@ -129,7 +133,7 @@ class Cache:
         packed = self.tags.peek(line)
         if not packed & self._valid_bit:
             return None
-        tag = packed & ((1 << self.tag_bits) - 1)
+        tag = packed & self._tag_mask
         addr = (tag << self.tag_shift) | (set_idx << self.off_bits)
         dirty = bool(packed & self._dirty_bit)
         data = None

@@ -115,6 +115,54 @@ class TestScheduler:
         for uid in done_before:
             assert state.attempts[uid] == 1
 
+    def test_cancel_stops_journaling_within_one_poll(self, tmp_path,
+                                                     monkeypatch):
+        """Two units finishing in one poll: a cancel from the first
+        one's callback leaves the second unjournaled (as terminated)."""
+        from repro.obs.metrics import MetricsRegistry
+        from repro.sched import scheduler as scheduler_mod
+        from repro.sched.pool import RESULT, Lease
+
+        class OnePollPool:
+            def __init__(self, workers):
+                self.workers = workers
+                self.running = []
+
+            @property
+            def free_slots(self):
+                return self.workers - len(self.running)
+
+            def launch(self, unit, spec, *, attempt=1, **_kw):
+                lease = Lease(unit, attempt, None, None, 0.0)
+                self.running.append(lease)
+                return lease
+
+            def poll(self):
+                if len(self.running) < self.workers:
+                    return []
+                done, self.running = self.running, []
+                return [(lease, RESULT, {
+                    "ok": True, "counts": {"Masked": 1}, "injections": 1,
+                    "early_stops": 0, "resumed": 0, "wall_s": 0.0,
+                    "events": [], "metrics": MetricsRegistry().to_dict()})
+                    for lease in done]
+
+            def terminate_all(self):
+                done, self.running = self.running, []
+                return done
+
+        monkeypatch.setattr(scheduler_mod, "LeasePool", OnePollPool)
+        sched = Scheduler(CampaignPlan.from_spec(spec()), tmp_path / "s",
+                          workers=2)
+        sched.progress = lambda uid, state, done, total: (
+            sched.cancel() if state == DONE else None)
+        result = sched.run()
+        assert result.interrupted and not result.ok
+        assert [c.state for c in result.cells.values()] == [DONE]
+        state = load_journal(tmp_path / "s" / "journal.jsonl")
+        assert sum(state.state_of(uid) == DONE
+                   for uid in state.unit_ids) == 1
+
     def test_fresh_run_refuses_existing_journal(self, tmp_path):
         sp = spec(setups=(TWO_SETUPS[0],))
         run_study(sp, tmp_path / "study", workers=1)
